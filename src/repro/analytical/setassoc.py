@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.trace.stats import StackDistanceProfile
 from repro.units import check_power_of_two
@@ -40,8 +39,27 @@ def miss_probability_by_distance(
         # Fully associative: miss iff more than A-1 intervening blocks,
         # i.e. distance > associativity (exact, no approximation).
         return (distances > associativity).astype(np.float64)
-    # P[X >= A] with X ~ Binomial(d - 1, 1/S).
-    return binom.sf(associativity - 1, distances - 1, 1.0 / sets)
+    return _binomial_sf(associativity, distances - 1, 1.0 / sets)
+
+
+def _binomial_sf(threshold: int, trials: np.ndarray, p: float) -> np.ndarray:
+    """``P[Binomial(trials, p) >= threshold]`` elementwise, ``0 < p < 1``.
+
+    One minus the pmf summed over ``k < threshold``, by the recurrence
+    ``pmf(k + 1) = pmf(k) * (n - k) / (k + 1) * p / (1 - p)`` from
+    ``pmf(0) = (1 - p) ** n`` (taken in log space, so long reuse
+    distances underflow to a tail of exactly 1).
+    """
+    n = trials.astype(np.float64)
+    term = np.exp(n * np.log1p(-p))
+    below = term.copy()
+    odds = p / (1.0 - p)
+    for k in range(threshold - 1):
+        term = term * (n - k) / (k + 1) * odds
+        below += term
+    # Fewer trials than the threshold can never reach it; elsewhere clip
+    # the rounding error of ``1 - below`` into [0, 1].
+    return np.where(trials >= threshold, np.clip(1.0 - below, 0.0, 1.0), 0.0)
 
 
 def predicted_miss_ratio(

@@ -162,14 +162,13 @@ def trace_cache_dir() -> Optional[Path]:
     return directory
 
 
-def _open_cached(path: Path, legacy: Path) -> Optional[Trace]:
+def _open_cached(path: Path) -> Optional[Trace]:
     """The cached store at ``path`` as a memmap-backed trace, or ``None``
     when the entry is absent or unusable (a cache *miss*, never a crash).
 
     Corruption -- torn header, digest mismatch under
     ``REPRO_STORE_VERIFY`` -- quarantines the file (preserving the
-    evidence, freeing the path) and rebuilds.  A missing entry falls
-    back to a legacy ``.npz`` migration when one exists.
+    evidence, freeing the path) and rebuilds.
     """
     verify = bool(envcfg.get("REPRO_STORE_VERIFY"))
     try:
@@ -184,19 +183,6 @@ def _open_cached(path: Path, legacy: Path) -> Optional[Trace]:
             "trace-cache-corrupt path=%s action=quarantine-and-rebuild "
             "reason=%s", path, error,
         )
-    if legacy.exists():
-        # Migrate pre-store caches: one load, then memmaps forever.
-        try:
-            TraceStore.save(Trace.load(legacy), path)
-            return TraceStore.open(path, verify=verify).as_trace()
-        except (OSError, ValueError) as error:
-            from repro.resilience.integrity import quarantine
-
-            quarantine(legacy, f"legacy cache migration failed: {error}")
-            log.warning(
-                "trace-cache-legacy-corrupt path=%s action=quarantine-"
-                "and-rebuild reason=%s", legacy, error,
-            )
     return None
 
 
@@ -297,7 +283,7 @@ def paper_trace_suite(
         )
         lock.acquire(timeout_s=float(envcfg.get("REPRO_LOCK_TIMEOUT_S")))
         try:
-            trace = _open_cached(path, legacy=disk / f"trace-{digest}.npz")
+            trace = _open_cached(path)
             if trace is None:
                 trace = _publish(
                     build_trace(name, index=i, records=records, kernel=kernel),

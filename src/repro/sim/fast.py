@@ -20,6 +20,15 @@ Together they make this simulator one to two orders of magnitude faster
 than the reference per-record loop -- fast enough for the paper's full
 4 KB - 4 MB axis at million-reference trace lengths.
 
+One replay loop, :class:`_Front`, feeds the levels: per chunk, the first
+level's one or two (split) streams and each deeper level's merged
+stream go through the same kernel-and-merge body.  Whole-array replay is
+the one-chunk case and keeps the cheap kernels (cold compact state, the
+sort-based direct-mapped kernel); ``REPRO_TRACE_CHUNK`` replays through
+persistent per-level state with identical counts
+(``tests/sim/test_chunked_replay.py``).  :mod:`repro.sim.stackdist`
+drives its upstream levels with the same front.
+
 Scope: write-back LRU levels of associativity 1-16 with write-allocate,
 single-block fetch, no prefetching, no enforced inclusion -- the base
 machine and every Figure 3/4/5 variation of it.  Anything else falls
@@ -40,7 +49,7 @@ from repro import telemetry
 from repro.audit import maybe_audit_functional
 from repro.cache.policy import PrefetchKind, WritePolicy
 from repro.cache.stats import CacheStats
-from repro.sim.config import SystemConfig
+from repro.sim.config import LevelConfig, SystemConfig
 from repro.sim.functional import FunctionalResult
 from repro.trace.record import IFETCH, WRITE, Trace
 from repro.trace.store import replay_chunk_records
@@ -251,11 +260,18 @@ def _simulate_level(
     order_keys: np.ndarray,
     sets: int,
     associativity: int,
+    state: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch one level to the cheapest exact kernel."""
-    if associativity == 1:
+    """Dispatch one level to the cheapest exact kernel.
+
+    A cold direct-mapped level takes the sort-based kernel; with a
+    persistent ``state`` it runs as 1-way LRU, which is the same cache.
+    """
+    if associativity == 1 and state is None:
         return _simulate_dm_level(blocks, is_write, order_keys, sets)
-    return _simulate_lru_level(blocks, is_write, order_keys, sets, associativity)
+    return _simulate_lru_level(
+        blocks, is_write, order_keys, sets, associativity, state=state
+    )
 
 
 def _merge_parts(parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -289,129 +305,45 @@ def _accumulate_level(
 
 
 def _level_zero_streams(
-    trace: Trace, config: SystemConfig, key_offset: int = 0
+    trace: Trace, split: bool, key_offset: int
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Bucket the CPU reference stream into the first level's inputs.
 
-    Each stream is ``(blocks, is_write, bucket, keys)`` with blocks at
-    the first level's granularity; a split level gets its I-side and
-    D-side streams separately.  Order keys: level-0 events carry the
-    record index; each level's outputs use ``key*4 + {1: victim
-    writeback, 2: demand fetch}``, so a stream entering level ``i`` has
-    keys scaled by ``4**i`` and the original record index is
-    ``key // 4**i``.  ``key_offset`` shifts the record indices -- chunked
-    replay passes each chunk's start so keys stay global (and strictly
-    increasing across chunks).
+    Each stream is ``(addresses, is_write, bucket, keys)`` with byte
+    addresses (block offset 0); a split level gets its I-side and D-side
+    streams separately.  Order keys: level-0 events carry the record
+    index; each level's outputs use ``key*4 + {1: victim writeback, 2:
+    demand fetch}``, so a stream entering level ``i`` has keys scaled by
+    ``4**i`` and the original record index is ``key // 4**i``.
+    ``key_offset`` shifts the record indices -- chunked replay passes
+    each chunk's start so keys stay global (and strictly increasing
+    across chunks).
     """
     kinds = trace.kinds
     keys = np.arange(key_offset, key_offset + len(trace), dtype=np.int64)
     addresses = trace.addresses.astype(np.int64)
     is_write = kinds == WRITE
     bucket = np.where(is_write, _BUCKET_WRITE, _BUCKET_READ).astype(np.int8)
-    first = config.levels[0]
-    blocks = addresses >> log2_int(first.block_bytes)
-    if first.split:
+    if split:
         is_ifetch = kinds == IFETCH
         return [
-            (blocks[is_ifetch], is_write[is_ifetch], bucket[is_ifetch],
+            (addresses[is_ifetch], is_write[is_ifetch], bucket[is_ifetch],
              keys[is_ifetch]),
-            (blocks[~is_ifetch], is_write[~is_ifetch], bucket[~is_ifetch],
+            (addresses[~is_ifetch], is_write[~is_ifetch], bucket[~is_ifetch],
              keys[~is_ifetch]),
         ]
-    return [(blocks, is_write, bucket, keys)]
+    return [(addresses, is_write, bucket, keys)]
 
 
-def _simulate_front(
-    trace: Trace, config: SystemConfig, levels: int
-) -> Tuple[List[CacheStats], Tuple, int]:
-    """Simulate the first ``levels`` cache levels (``1 <= levels <= depth``).
-
-    Returns ``(level_stats, stream, offset_bits)``: the per-level
-    post-warmup counters, the merged event stream leaving level
-    ``levels - 1`` (blocks at that level's granularity, keys scaled by
-    ``4**levels``) and that level's block-offset bit count.  The stream
-    is what enters level ``levels`` -- or memory, when ``levels`` is the
-    full depth.
-    """
-    warmup = trace.warmup
-    first = config.levels[0]
-    first_geometry = first.geometry()
-    level_stats: List[CacheStats] = []
-    stats = CacheStats()
-    parts = []
-    for s_blocks, s_write, s_bucket, s_keys in _level_zero_streams(trace, config):
-        miss, victims, victim_keys = _simulate_level(
-            s_blocks, s_write, s_keys,
-            first_geometry.sets, first.associativity,
+def _offset_bits(level: LevelConfig, prev_offset: int) -> int:
+    """``level``'s block-offset bit count, checked against its input's."""
+    offset_bits = log2_int(level.block_bytes)
+    if offset_bits < prev_offset:
+        raise ValueError(
+            "deeper levels must have blocks at least as large as "
+            "their predecessor's"
         )
-        _accumulate_level(
-            stats, s_write, s_bucket, miss, s_keys, victim_keys, warmup
-        )
-        parts.append(
-            (
-                victims,
-                np.ones(len(victims), dtype=bool),
-                np.full(len(victims), _BUCKET_WRITE, dtype=np.int8),
-                victim_keys * 4 + 1,
-            )
-        )
-        parts.append(
-            (
-                s_blocks[miss],
-                np.zeros(int(miss.sum()), dtype=bool),
-                s_bucket[miss],
-                s_keys[miss] * 4 + 2,
-            )
-        )
-    level_stats.append(stats)
-    stream = _merge_parts(parts)
-
-    prev_offset = log2_int(first.block_bytes)
-    for depth_index in range(1, levels):
-        level = config.levels[depth_index]
-        offset_bits = log2_int(level.block_bytes)
-        if offset_bits < prev_offset:
-            raise ValueError(
-                "deeper levels must have blocks at least as large as "
-                "their predecessor's"
-            )
-        stream_blocks, stream_write, stream_bucket, stream_keys = stream
-        blocks_here = stream_blocks >> (offset_bits - prev_offset)
-        warmup_key = warmup * 4**depth_index
-        miss, victims, victim_keys = _simulate_level(
-            blocks_here, stream_write, stream_keys,
-            level.geometry().sets, level.associativity,
-        )
-        stats = CacheStats()
-        _accumulate_level(
-            stats, stream_write, stream_bucket, miss, stream_keys,
-            victim_keys, warmup_key,
-        )
-        level_stats.append(stats)
-        # Demand fetches always enter the next level as *reads*: the
-        # fetched block arrives clean (write-allocate dirties it in the
-        # receiving cache, not downstream), so the fetch never carries
-        # the missing access's write flag.  The statistics bucket still
-        # tracks the originating access so store-induced traffic stays
-        # out of the read miss ratios.
-        clean_fetch = np.zeros(int(miss.sum()), dtype=bool)
-        parts = [
-            (
-                victims,
-                np.ones(len(victims), dtype=bool),
-                np.full(len(victims), _BUCKET_WRITE, dtype=np.int8),
-                victim_keys * 4 + 1,
-            ),
-            (
-                blocks_here[miss],
-                clean_fetch,
-                stream_bucket[miss],
-                stream_keys[miss] * 4 + 2,
-            ),
-        ]
-        stream = _merge_parts(parts)
-        prev_offset = offset_bits
-    return level_stats, stream, prev_offset
+    return offset_bits
 
 
 def _new_level_state(
@@ -424,18 +356,23 @@ def _new_level_state(
     )
 
 
-class _ChunkedFront:
-    """Stream a trace through the first ``levels`` cache levels in chunks.
+class _Front:
+    """Replay a trace through its first ``levels`` cache levels.
 
-    The chunked counterpart of :func:`_simulate_front`: each level keeps a
-    persistent ``(sets, associativity)`` state between chunks (a
-    direct-mapped level runs as 1-way LRU, which is the same cache), so
-    counts are identical to whole-array replay while peak residency is
-    bounded by one chunk's event arrays plus the level states.  Iterating
-    :meth:`streams` drives the replay; per-level counters accumulate into
-    ``level_stats`` and each iteration yields the merged event stream
-    leaving the deepest simulated level for that chunk (keys global,
-    scaled by ``4**levels``).
+    Iterating :meth:`streams` drives the replay one chunk at a time.  Per
+    chunk it yields the streams entering level ``levels``: the CPU
+    stream (split into I- and D-side streams for a split first level)
+    when ``levels`` is 0, else the one merged, key-ordered stream leaving
+    level ``levels - 1`` (keys global, scaled by ``4**levels``).  Blocks
+    are at ``offset_bits`` granularity.  Per-level post-warmup counters
+    accumulate into ``level_stats``.
+
+    ``chunk_records=None`` replays the trace as is, as one chunk: levels
+    start cold on compact touched-sets state and direct-mapped levels use
+    the sort-based kernel.  With a chunk size each level keeps a
+    persistent ``(sets, associativity)`` state between chunks, so counts
+    are identical while peak residency is bounded by one chunk's event
+    arrays plus the level states.
     """
 
     def __init__(
@@ -443,9 +380,9 @@ class _ChunkedFront:
         trace: Trace,
         config: SystemConfig,
         levels: int,
-        chunk_records: int,
+        chunk_records: Optional[int],
     ) -> None:
-        if chunk_records <= 0:
+        if chunk_records is not None and chunk_records <= 0:
             raise ValueError(
                 f"chunk size must be positive, got {chunk_records}"
             )
@@ -453,158 +390,90 @@ class _ChunkedFront:
         self.config = config
         self.levels = levels
         self.chunk_records = chunk_records
-        first = config.levels[0]
-        first_geometry = first.geometry()
-        self._zero_states = [
-            _new_level_state(first_geometry.sets, first.associativity)
-            for _ in range(2 if first.split else 1)
-        ]
-        self._deep_states = [
-            _new_level_state(
-                config.levels[i].geometry().sets,
-                config.levels[i].associativity,
-            )
-            for i in range(1, levels)
-        ]
+        split = config.levels[0].split
+        #: Streams per chunk: one per side of a split first level.
+        self.sides = 2 if split and levels == 0 else 1
+        # Per level: the block shift from the input stream's granularity.
+        self._shifts: List[int] = []
+        self.offset_bits = 0
+        for level in config.levels[:levels]:
+            offset_bits = _offset_bits(level, self.offset_bits)
+            self._shifts.append(offset_bits - self.offset_bits)
+            self.offset_bits = offset_bits
         self.level_stats = [CacheStats() for _ in range(levels)]
+        # Per level, per side: persistent kernel state, or None (cold).
+        self._states = [
+            [
+                None if chunk_records is None
+                else _new_level_state(level.geometry().sets, level.associativity)
+                for _ in range(2 if split and index == 0 else 1)
+            ]
+            for index, level in enumerate(config.levels[:levels])
+        ]
 
-    def streams(self) -> Iterator[Tuple]:
-        config = self.config
-        warmup = self.trace.warmup
-        first = config.levels[0]
-        first_geometry = first.geometry()
+    def streams(self) -> Iterator[List[Tuple]]:
+        if self.chunk_records is None:
+            yield self._replay(self.trace, 0)
+            return
         for index, chunk in enumerate(self.trace.chunks(self.chunk_records)):
             # The span closes before the yield: it times this chunk's
             # level simulation, not whatever the consumer does with the
-            # stream (the deepest-level pass times itself).
+            # streams (the deepest-level pass times itself).
             with telemetry.span("fast.chunk", index=index, records=len(chunk)):
-                base = index * self.chunk_records
-                parts = []
-                zero_streams = _level_zero_streams(
-                    chunk, config, key_offset=base
-                )
-                for side, (s_blocks, s_write, s_bucket, s_keys) in enumerate(
-                    zero_streams
-                ):
-                    miss, victims, victim_keys = _simulate_lru_level(
-                        s_blocks, s_write, s_keys,
-                        first_geometry.sets, first.associativity,
-                        state=self._zero_states[side],
-                    )
-                    _accumulate_level(
-                        self.level_stats[0], s_write, s_bucket, miss, s_keys,
-                        victim_keys, warmup,
-                    )
-                    parts.append(
-                        (
-                            victims,
-                            np.ones(len(victims), dtype=bool),
-                            np.full(len(victims), _BUCKET_WRITE, dtype=np.int8),
-                            victim_keys * 4 + 1,
-                        )
-                    )
-                    parts.append(
-                        (
-                            s_blocks[miss],
-                            np.zeros(int(miss.sum()), dtype=bool),
-                            s_bucket[miss],
-                            s_keys[miss] * 4 + 2,
-                        )
-                    )
-                stream = _merge_parts(parts)
+                streams = self._replay(chunk, index * self.chunk_records)
+            yield streams
 
-                prev_offset = log2_int(first.block_bytes)
-                for depth_index in range(1, self.levels):
-                    level = config.levels[depth_index]
-                    offset_bits = log2_int(level.block_bytes)
-                    if offset_bits < prev_offset:
-                        raise ValueError(
-                            "deeper levels must have blocks at least as large "
-                            "as their predecessor's"
-                        )
-                    stream_blocks, stream_write, stream_bucket, stream_keys = (
-                        stream
+    def _replay(self, chunk: Trace, key_offset: int) -> List[Tuple]:
+        config = self.config
+        streams = _level_zero_streams(
+            chunk, config.levels[0].split, key_offset=key_offset
+        )
+        for index in range(self.levels):
+            level = config.levels[index]
+            sets = level.geometry().sets
+            warmup_key = self.trace.warmup * 4**index
+            parts = []
+            for side, (s_blocks, s_write, s_bucket, s_keys) in enumerate(streams):
+                blocks = s_blocks >> self._shifts[index]
+                miss, victims, victim_keys = _simulate_level(
+                    blocks, s_write, s_keys, sets, level.associativity,
+                    state=self._states[index][side],
+                )
+                _accumulate_level(
+                    self.level_stats[index], s_write, s_bucket, miss, s_keys,
+                    victim_keys, warmup_key,
+                )
+                # Demand fetches always enter the next level as *reads*:
+                # the fetched block arrives clean (write-allocate dirties
+                # it in the receiving cache, not downstream), so the fetch
+                # never carries the missing access's write flag.  The
+                # statistics bucket still tracks the originating access so
+                # store-induced traffic stays out of the read miss ratios.
+                parts.append(
+                    (
+                        victims,
+                        np.ones(len(victims), dtype=bool),
+                        np.full(len(victims), _BUCKET_WRITE, dtype=np.int8),
+                        victim_keys * 4 + 1,
                     )
-                    blocks_here = stream_blocks >> (offset_bits - prev_offset)
-                    warmup_key = warmup * 4**depth_index
-                    miss, victims, victim_keys = _simulate_lru_level(
-                        blocks_here, stream_write, stream_keys,
-                        level.geometry().sets, level.associativity,
-                        state=self._deep_states[depth_index - 1],
+                )
+                parts.append(
+                    (
+                        blocks[miss],
+                        np.zeros(int(miss.sum()), dtype=bool),
+                        s_bucket[miss],
+                        s_keys[miss] * 4 + 2,
                     )
-                    _accumulate_level(
-                        self.level_stats[depth_index], stream_write,
-                        stream_bucket, miss, stream_keys, victim_keys,
-                        warmup_key,
-                    )
-                    # Demand fetches enter the next level as clean reads
-                    # (see _simulate_front).
-                    parts = [
-                        (
-                            victims,
-                            np.ones(len(victims), dtype=bool),
-                            np.full(len(victims), _BUCKET_WRITE, dtype=np.int8),
-                            victim_keys * 4 + 1,
-                        ),
-                        (
-                            blocks_here[miss],
-                            np.zeros(int(miss.sum()), dtype=bool),
-                            stream_bucket[miss],
-                            stream_keys[miss] * 4 + 2,
-                        ),
-                    ]
-                    stream = _merge_parts(parts)
-                    prev_offset = offset_bits
-            yield stream
+                )
+            streams = [_merge_parts(parts)]
+        return streams
 
 
 def run_functional_chunked(
     trace: Trace, config: SystemConfig, chunk_records: int
 ) -> FunctionalResult:
-    """Chunked streaming counterpart of :class:`FastFunctionalSimulator`.
-
-    Replays the trace ``chunk_records`` records at a time through
-    persistent per-level cache state.  Counts are identical to
-    whole-array replay (``tests/sim/test_chunked_replay.py`` holds the
-    differential contract); peak residency is bounded per chunk, which
-    is what lets memmap-backed store traces run without ever
-    materialising in full.
-    """
-    if not fast_eligible(config):
-        raise ValueError(
-            "configuration outside the vectorised path; chunked replay "
-            "requires fast eligibility"
-        )
-    if not trace_eligible(trace):
-        raise ValueError("trace outside the vectorised path (addresses >= 2**63)")
-    front = _ChunkedFront(trace, config, config.depth, chunk_records)
-    threshold = trace.warmup * 4**config.depth
-    memory_reads = 0
-    memory_writes = 0
-    with telemetry.span("fast.run", records=len(trace), chunked=True):
-        for stream in front.streams():
-            _, stream_write, _, stream_keys = stream
-            counted = stream_keys >= threshold
-            memory_writes += int(np.count_nonzero(counted & stream_write))
-            memory_reads += int(np.count_nonzero(counted & ~stream_write))
-
-    measured_kinds = trace.kinds[trace.warmup:]
-    cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
-    cpu_reads = int(measured_kinds.size) - cpu_writes
-    cpu_ifetches = int(np.count_nonzero(measured_kinds == IFETCH))
-    result = FunctionalResult(
-        trace_name=trace.name,
-        config=config,
-        cpu_reads=cpu_reads,
-        cpu_writes=cpu_writes,
-        cpu_ifetches=cpu_ifetches,
-        level_stats=front.level_stats,
-        memory_reads=memory_reads,
-        memory_writes=memory_writes,
-    )
-    # Audit gates on an env flag but only validates-and-raises; it never
-    # alters the result, so memo keys need not include it.
-    return maybe_audit_functional(trace, result, source="fast-chunked")  # repro: noqa RPR008
+    """:meth:`FastFunctionalSimulator.run` in chunks of ``chunk_records``."""
+    return FastFunctionalSimulator(config).run(trace, chunk_records)
 
 
 class FastFunctionalSimulator:
@@ -624,21 +493,37 @@ class FastFunctionalSimulator:
             )
         self.config = config
 
-    def run(self, trace: Trace) -> FunctionalResult:
-        config = self.config
-        warmup = trace.warmup
-        kinds = trace.kinds
-        with telemetry.span("fast.run", records=len(trace)):
-            level_stats, stream, _ = _simulate_front(trace, config, config.depth)
+    def run(
+        self, trace: Trace, chunk_records: Optional[int] = None
+    ) -> FunctionalResult:
+        """Replay ``trace`` whole, or ``chunk_records`` records at a time.
 
+        Chunked replay streams each level through persistent cache state:
+        counts are identical to whole-array replay
+        (``tests/sim/test_chunked_replay.py`` holds the differential
+        contract) while peak residency is bounded per chunk, which is what
+        lets memmap-backed store traces run without ever materialising in
+        full.
+        """
+        if not trace_eligible(trace):
+            raise ValueError(
+                "trace outside the vectorised path (addresses >= 2**63)"
+            )
+        config = self.config
+        front = _Front(trace, config, config.depth, chunk_records)
+        chunked = chunk_records is not None
         # Memory traffic: whatever leaves the deepest level, post-warmup.
         # Writes are the deepest victims; reads are the demand fetches.
-        stream_blocks, stream_write, stream_bucket, stream_keys = stream
-        counted = stream_keys >= warmup * 4**config.depth
-        memory_writes = int(np.count_nonzero(counted & stream_write))
-        memory_reads = int(np.count_nonzero(counted & ~stream_write))
+        threshold = trace.warmup * 4**config.depth
+        memory_reads = 0
+        memory_writes = 0
+        with telemetry.span("fast.run", records=len(trace), chunked=chunked):
+            for ((_, stream_write, _, stream_keys),) in front.streams():
+                counted = stream_keys >= threshold
+                memory_writes += int(np.count_nonzero(counted & stream_write))
+                memory_reads += int(np.count_nonzero(counted & ~stream_write))
 
-        measured_kinds = kinds[warmup:]
+        measured_kinds = trace.kinds[trace.warmup:]
         cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
         cpu_reads = int(measured_kinds.size) - cpu_writes
         cpu_ifetches = int(np.count_nonzero(measured_kinds == IFETCH))
@@ -648,12 +533,14 @@ class FastFunctionalSimulator:
             cpu_reads=cpu_reads,
             cpu_writes=cpu_writes,
             cpu_ifetches=cpu_ifetches,
-            level_stats=level_stats,
+            level_stats=front.level_stats,
             memory_reads=memory_reads,
             memory_writes=memory_writes,
         )
-        # Validate-and-raise only; results are unchanged (see above).
-        return maybe_audit_functional(trace, result, source="fast-path")  # repro: noqa RPR008
+        # Audit gates on an env flag but only validates-and-raises; it
+        # never alters the result, so memo keys need not include it.
+        source = "fast-chunked" if chunked else "fast-path"
+        return maybe_audit_functional(trace, result, source=source)  # repro: noqa RPR008
 
 
 def trace_eligible(trace: Trace) -> bool:
@@ -675,9 +562,9 @@ def run_functional(trace: Trace, config: SystemConfig) -> FunctionalResult:
         # Chunked replay is count-identical to the one-shot run (parity
         # tests); REPRO_TRACE_CHUNK tunes residency, never the results.
         chunk = replay_chunk_records()  # repro: noqa RPR008
-        if chunk is not None and chunk < len(trace):
-            return run_functional_chunked(trace, config, chunk)
-        return FastFunctionalSimulator(config).run(trace)
+        if chunk is not None and chunk >= len(trace):
+            chunk = None
+        return FastFunctionalSimulator(config).run(trace, chunk)
     from repro.sim.functional import FunctionalSimulator
 
     return FunctionalSimulator(config).run(trace)

@@ -28,8 +28,11 @@ Scope: the deepest level of a :func:`repro.sim.fast.fast_eligible`
 configuration whose replacement is genuinely LRU (a direct-mapped
 deepest level qualifies under any stated policy -- one way leaves
 nothing to choose).  Upstream levels are replayed by the fast path's
-kernels and are identical across the derived grid; their input streams
-are cached so a sweep's groups replay them once, not once per group.
+front (:class:`repro.sim.fast._Front`) and are identical across the
+derived grid; one histogram loop runs a stack per stream it yields,
+whole-array replay being the one-chunk case of chunked replay.  The
+one-chunk input streams are cached so a sweep's groups replay the
+upstream levels once, not once per group.
 Count-identity with :class:`~repro.sim.fast.FastFunctionalSimulator`
 and the reference simulator is enforced by ``tests/sim/test_stackdist.py``;
 the sweep planner that fans grid groups out over the worker pool lives
@@ -39,8 +42,9 @@ in :mod:`repro.core.sweep`.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,15 +56,13 @@ from repro.sim.config import SystemConfig
 from repro.sim.fast import (
     MAX_FAST_ASSOCIATIVITY,
     _BUCKET_WRITE,
-    _ChunkedFront,
-    _level_zero_streams,
-    _simulate_front,
+    _Front,
+    _offset_bits,
     fast_eligible,
 )
 from repro.sim.functional import FunctionalResult
 from repro.trace.record import IFETCH, WRITE, Trace
 from repro.trace.store import replay_chunk_records
-from repro.units import log2_int
 
 #: The associativities one stack pass derives: every power of two the
 #: fast path accepts (:class:`~repro.sim.config.LevelConfig` rejects
@@ -339,29 +341,33 @@ def _front_key(trace: Trace, config: SystemConfig) -> Tuple:
     )
 
 
-def _front(trace: Trace, config: SystemConfig) -> Tuple[List[CacheStats], Tuple, int]:
-    """Upstream statistics and the deepest level's input stream, cached.
+def _front_streams(front: _Front) -> Tuple[Iterable[List[Tuple]], List[CacheStats]]:
+    """The front's streams, chunk by chunk, and its upstream statistics.
 
-    The returned statistics are fresh copies (callers own them); the
-    stream arrays are shared and treated as read-only by the kernel.
+    A one-chunk front over at least one level is served from the cache
+    (the statistics are fresh copies the caller owns; the stream arrays
+    are shared and treated as read-only by the kernel).  A chunked front
+    bypasses it -- its entries hold whole-trace streams, exactly what
+    chunked replay exists to avoid -- and its statistics are complete
+    once the streams are exhausted.
     """
-    key = _front_key(trace, config)
+    if front.chunk_records is not None or front.levels == 0:
+        return front.streams(), front.level_stats
+    key = _front_key(front.trace, front.config)
     hit = _front_cache.get(key)
     if hit is None:
         with telemetry.span(
-            "stackdist.front", records=len(trace), depth=config.depth - 1
+            "stackdist.front", records=len(front.trace), depth=front.levels
         ):
-            upstream, stream, prev_offset = _simulate_front(
-                trace, config, config.depth - 1
-            )
-        hit = (tuple(upstream), stream, prev_offset)
+            (streams,) = front.streams()
+        hit = (tuple(front.level_stats), streams)
         _front_cache[key] = hit
         while len(_front_cache) > _FRONT_CACHE_ENTRIES:
             _front_cache.popitem(last=False)
     else:
         _front_cache.move_to_end(key)
-    upstream, stream, prev_offset = hit
-    return [replace(stats) for stats in upstream], stream, prev_offset
+    upstream, streams = hit
+    return [streams], [replace(stats) for stats in upstream]
 
 
 def clear_front_cache() -> None:
@@ -370,109 +376,47 @@ def clear_front_cache() -> None:
 
 
 def _grid_histograms(
-    trace: Trace, config: SystemConfig
+    trace: Trace, config: SystemConfig, chunk_records: Optional[int]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[CacheStats]]:
-    """Whole-array stack replay: histograms plus upstream statistics."""
-    warmup = trace.warmup
-    depth = config.depth
-    deepest = config.levels[-1]
-    sets = deepest.geometry().sets
-    if depth == 1:
-        upstream: List[CacheStats] = []
-        streams = _level_zero_streams(trace, config)
-        warmup_key = warmup
-    else:
-        upstream, stream, prev_offset = _front(trace, config)
-        offset_bits = log2_int(deepest.block_bytes)
-        if offset_bits < prev_offset:
-            raise ValueError(
-                "deeper levels must have blocks at least as large as "
-                "their predecessor's"
-            )
-        s_blocks, s_write, s_bucket, s_keys = stream
-        streams = [
-            (s_blocks >> (offset_bits - prev_offset), s_write, s_bucket, s_keys)
-        ]
-        warmup_key = warmup * 4 ** (depth - 1)
+    """Stack replay of the deepest level: histograms plus upstream statistics.
 
-    read_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
-    write_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
-    writebacks = np.zeros(_WIDTH, dtype=np.int64)
-    for s_blocks, s_write, s_bucket, s_keys in streams:
-        part_read, part_write, part_wb = _stack_pass(
-            s_blocks, s_write, s_bucket, s_keys, sets, warmup_key
-        )
-        read_hist += part_read
-        write_hist += part_write
-        writebacks += part_wb
-    return read_hist, write_hist, writebacks, upstream
-
-
-def _grid_histograms_chunked(
-    trace: Trace, config: SystemConfig, chunk_records: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[CacheStats]]:
-    """Chunked stack replay; count-identical to :func:`_grid_histograms`.
-
-    Each chunk runs through persistent per-level front state
-    (:class:`repro.sim.fast._ChunkedFront`) and a persistent stack state
-    at the deepest level, so peak residency is bounded per chunk.  The
-    upstream front cache is bypassed -- its entries hold whole-trace
-    streams, exactly what chunked replay exists to avoid.
+    The fast path's front (:class:`repro.sim.fast._Front`) replays the
+    upstream levels and yields the deepest level's input streams; each
+    stream gets its own stack (a split first level at depth 1 is two
+    member caches).  With ``chunk_records`` the stacks keep persistent
+    state between chunks, so peak residency is bounded per chunk;
+    without, the trace is one chunk and the stacks start cold on compact
+    touched-sets state.
     """
-    warmup = trace.warmup
-    depth = config.depth
     deepest = config.levels[-1]
     sets = deepest.geometry().sets
+    warmup_key = trace.warmup * 4 ** (config.depth - 1)
+    front = _Front(trace, config, config.depth - 1, chunk_records)
+    shift = _offset_bits(deepest, front.offset_bits) - front.offset_bits
+    states = [
+        None if chunk_records is None else _new_stack_state(sets)
+        for _ in range(front.sides)
+    ]
     read_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
     write_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
     writebacks = np.zeros(_WIDTH, dtype=np.int64)
-    if depth == 1:
-        # A split first level is two member caches: one stack per side.
-        states = [
-            _new_stack_state(sets)
-            for _ in range(2 if deepest.split else 1)
-        ]
-        for index, chunk in enumerate(trace.chunks(chunk_records)):
-            with telemetry.span(
-                "stackdist.chunk", index=index, records=len(chunk)
+    chunks, upstream = _front_streams(front)
+    for index, streams in enumerate(chunks):
+        with (
+            telemetry.span("stackdist.chunk", index=index)
+            if chunk_records is not None else nullcontext()
+        ):
+            for state, (s_blocks, s_write, s_bucket, s_keys) in zip(
+                states, streams
             ):
-                base = index * chunk_records
-                zero_streams = _level_zero_streams(
-                    chunk, config, key_offset=base
+                part_read, part_write, part_wb = _stack_pass(
+                    s_blocks >> shift, s_write, s_bucket, s_keys, sets,
+                    warmup_key, state=state,
                 )
-                for side, (s_blocks, s_write, s_bucket, s_keys) in enumerate(
-                    zero_streams
-                ):
-                    part_read, part_write, part_wb = _stack_pass(
-                        s_blocks, s_write, s_bucket, s_keys, sets, warmup,
-                        state=states[side],
-                    )
-                    read_hist += part_read
-                    write_hist += part_write
-                    writebacks += part_wb
-        return read_hist, write_hist, writebacks, []
-
-    front = _ChunkedFront(trace, config, depth - 1, chunk_records)
-    prev_offset = log2_int(config.levels[depth - 2].block_bytes)
-    offset_bits = log2_int(deepest.block_bytes)
-    if offset_bits < prev_offset:
-        raise ValueError(
-            "deeper levels must have blocks at least as large as "
-            "their predecessor's"
-        )
-    warmup_key = warmup * 4 ** (depth - 1)
-    state = _new_stack_state(sets)
-    for index, stream in enumerate(front.streams()):
-        with telemetry.span("stackdist.chunk", index=index):
-            s_blocks, s_write, s_bucket, s_keys = stream
-            part_read, part_write, part_wb = _stack_pass(
-                s_blocks >> (offset_bits - prev_offset), s_write, s_bucket,
-                s_keys, sets, warmup_key, state=state,
-            )
-            read_hist += part_read
-            write_hist += part_write
-            writebacks += part_wb
-    return read_hist, write_hist, writebacks, front.level_stats
+                read_hist += part_read
+                write_hist += part_write
+                writebacks += part_wb
+    return read_hist, write_hist, writebacks, upstream
 
 
 def run_stackdist_grid(trace: Trace, config: SystemConfig) -> StackdistGridResult:
@@ -493,21 +437,17 @@ def run_stackdist_grid(trace: Trace, config: SystemConfig) -> StackdistGridResul
     # Chunked histogram accumulation is count-identical to the one-shot
     # pass (parity tests); REPRO_TRACE_CHUNK tunes residency only.
     chunk = replay_chunk_records()  # repro: noqa RPR008
-    chunked = chunk is not None and chunk < len(trace)
+    if chunk is not None and chunk >= len(trace):
+        chunk = None
     with telemetry.span(
         "stackdist.pass",
         sets=config.levels[-1].geometry().sets,
         records=len(trace),
-        chunked=chunked,
+        chunked=chunk is not None,
     ):
-        if chunked:
-            read_hist, write_hist, writebacks, upstream = (
-                _grid_histograms_chunked(trace, config, chunk)
-            )
-        else:
-            read_hist, write_hist, writebacks, upstream = _grid_histograms(
-                trace, config
-            )
+        read_hist, write_hist, writebacks, upstream = _grid_histograms(
+            trace, config, chunk
+        )
 
     measured_kinds = trace.kinds[warmup:]
     cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))

@@ -169,10 +169,9 @@ class TraceStore:
     digest: str
     kinds_offset: int
     addresses_offset: int
-    #: Per-segment digests; ``None`` on stores written before they were
-    #: recorded (verification then falls back to the combined digest).
-    kinds_digest: Optional[str] = None
-    addresses_digest: Optional[str] = None
+    #: Per-segment digests, re-hashed by :meth:`verify`.
+    kinds_digest: str
+    addresses_digest: str
 
     @classmethod
     def save(cls, trace: Trace, path: Union[str, Path]) -> "TraceStore":
@@ -295,6 +294,8 @@ class TraceStore:
             digest = str(header["digest"])
             kinds_offset = int(header["kinds_offset"])
             addresses_offset = int(header["addresses_offset"])
+            kinds_digest = str(header["kinds_digest"])
+            addresses_digest = str(header["addresses_digest"])
         except (KeyError, TypeError, ValueError):
             raise StoreCorruptError(
                 f"{path}: corrupt store header (missing or malformed fields)"
@@ -322,8 +323,8 @@ class TraceStore:
             digest=digest,
             kinds_offset=kinds_offset,
             addresses_offset=addresses_offset,
-            kinds_digest=header.get("kinds_digest"),
-            addresses_digest=header.get("addresses_digest"),
+            kinds_digest=kinds_digest,
+            addresses_digest=addresses_digest,
         )
         if verify:
             store.verify()
@@ -332,10 +333,8 @@ class TraceStore:
     def verify(self) -> None:
         """Re-hash the data segments against the recorded digests.
 
-        Per-segment digests (recorded by current writers) pinpoint which
-        segment rotted; legacy stores without them fall back to the
-        combined content digest.  Raises :class:`StoreCorruptError`
-        naming the first mismatching segment.  Chunked hashing over the
+        Per-segment digests pinpoint which segment rotted: raises
+        :class:`StoreCorruptError` naming the first mismatching segment.  Chunked hashing over the
         memmaps keeps residency bounded.
         """
         with telemetry.span("store.verify", records=self.records):
@@ -351,21 +350,15 @@ class TraceStore:
             self.path, dtype=np.uint64, mode="r",
             offset=self.addresses_offset, shape=(self.records,),
         )
-        if self.kinds_digest is not None and self.addresses_digest is not None:
-            if _hash_array(kinds) != self.kinds_digest:
-                raise StoreCorruptError(
-                    f"{self.path}: kinds segment digest mismatch "
-                    f"(bit rot or torn write)"
-                )
-            if _hash_array(addresses) != self.addresses_digest:
-                raise StoreCorruptError(
-                    f"{self.path}: addresses segment digest mismatch "
-                    f"(bit rot or torn write)"
-                )
-        elif content_digest(kinds, addresses) != self.digest:
+        if _hash_array(kinds) != self.kinds_digest:
             raise StoreCorruptError(
-                f"{self.path}: content digest mismatch "
-                f"(legacy store, combined digest)"
+                f"{self.path}: kinds segment digest mismatch "
+                f"(bit rot or torn write)"
+            )
+        if _hash_array(addresses) != self.addresses_digest:
+            raise StoreCorruptError(
+                f"{self.path}: addresses segment digest mismatch "
+                f"(bit rot or torn write)"
             )
 
     def as_trace(self) -> Trace:

@@ -1,5 +1,8 @@
 """Tests for Smith's set-associative miss model."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,23 @@ class TestMissProbability:
                 np.array([d]), sets=sets, associativity=1
             )
             assert probs[0] == pytest.approx(expected)
+
+    def test_set_associative_matches_exact_binomial_tail(self):
+        # P(miss | d) = P[Binomial(d-1, 1/S) >= A], summed exactly.
+        sets, ways = 8, 4
+        distances = [1, 2, 4, 5, 6, 13, 40, 400]
+        probs = miss_probability_by_distance(
+            np.array(distances), sets=sets, associativity=ways
+        )
+        p = Fraction(1, sets)
+        for d, prob in zip(distances, probs):
+            n = d - 1
+            exact = sum(
+                (math.comb(n, k) * p**k * (1 - p) ** (n - k)
+                 for k in range(ways, n + 1)),
+                Fraction(0),
+            )
+            assert prob == pytest.approx(float(exact), abs=1e-14)
 
     def test_associativity_helps_at_short_distances(self):
         """At fixed capacity, higher associativity lowers the per-distance

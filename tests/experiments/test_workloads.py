@@ -87,25 +87,6 @@ class TestSuite:
         suite = paper_trace_suite(records=4_000, count=1)
         assert isinstance(suite[0].addresses, np.memmap)
 
-    def test_legacy_npz_cache_is_migrated(self, tmp_path, monkeypatch):
-        from repro.experiments import workloads
-
-        workloads._memory_cache.clear()
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        built = paper_trace_suite(records=4_000, count=1)
-        (store_path,) = tmp_path.glob("trace-*.mlt")
-        # Rewrite the cache entry as the pre-store .npz format.
-        legacy = store_path.with_suffix(".npz")
-        from repro.trace.store import TraceStore
-
-        TraceStore.open(store_path).as_trace().save(legacy)
-        store_path.unlink()
-        workloads._memory_cache.clear()
-        migrated = paper_trace_suite(records=4_000, count=1)
-        assert store_path.exists()  # re-saved in the store format
-        assert np.array_equal(migrated[0].addresses, built[0].addresses)
-        assert migrated[0].warmup == built[0].warmup
-
 
 class TestCacheResilience:
     """Damage to the disk cache is a *miss* -- quarantined, rebuilt,
@@ -167,6 +148,28 @@ class TestCacheResilience:
         (rebuilt,) = self._build()
         assert np.array_equal(rebuilt.addresses, expected)
         assert (self.cache / "quarantine").exists()
+
+    def test_entry_without_segment_digests_is_quarantined_and_rebuilt(self):
+        import json
+
+        (built,) = self._build()
+        expected = np.array(built.addresses)
+        (store_path,) = self.cache.glob("trace-*.mlt")
+        raw = bytearray(store_path.read_bytes())
+        length = int.from_bytes(raw[8:16], "little")
+        header = json.loads(bytes(raw[16 : 16 + length]))
+        del header["kinds_digest"]
+        del header["addresses_digest"]
+        blob = json.dumps(header).encode()
+        raw[16 : 16 + length] = blob + b" " * (length - len(blob))
+        store_path.write_bytes(bytes(raw))
+        self._clear_memory()
+        (rebuilt,) = self._build()
+        assert np.array_equal(rebuilt.addresses, expected)
+        assert (self.cache / "quarantine").exists()
+        from repro.trace.store import TraceStore
+
+        assert len(TraceStore.open(store_path).kinds_digest) == 64
 
     def test_failed_save_degrades_to_heap(self, caplog, monkeypatch):
         import logging

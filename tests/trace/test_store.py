@@ -257,16 +257,13 @@ class TestIntegrityVerify:
         self._flip(path, path.stat().st_size - 5)
         TraceStore.open(path)  # no error: the header is intact
 
-    def test_legacy_store_verifies_against_the_combined_digest(self, tmp_path):
+    def test_store_without_segment_digests_is_corrupt(self, tmp_path):
+        """Segment digests are required: a header without them cannot be
+        verified, so it is rejected at open rather than trusted."""
         _, path = self._saved(tmp_path)
         self._strip_segment_digests(path)
-        opened = TraceStore.open(path)
-        assert opened.kinds_digest is None
-        opened.verify()  # clean legacy store: combined digest matches
-
-        self._flip(path, path.stat().st_size - 5)
-        with pytest.raises(StoreCorruptError, match="legacy store"):
-            TraceStore.open(path, verify=True)
+        with pytest.raises(StoreCorruptError, match="missing or malformed"):
+            TraceStore.open(path)
 
     def test_corruption_errors_are_typed(self, tmp_path):
         # Not a store at all.
